@@ -26,6 +26,9 @@ use mptcp_netsim::{
 const WHEEL: QueueBackend = QueueBackend::TimerWheel;
 const HEAP: QueueBackend = QueueBackend::BinaryHeap;
 
+/// An end-to-end scenario run on one queue backend.
+type Scenario = fn(QueueBackend) -> SimPerf;
+
 /// One bottleneck, two competing TCPs, one simulated second.
 fn run_duel(backend: QueueBackend) -> SimPerf {
     let mut sim = Simulator::with_backend(1, backend);
@@ -203,7 +206,7 @@ fn main() {
     );
 
     // End-to-end scenarios: same simulation on both backends.
-    let scenarios: [(&str, fn(QueueBackend) -> SimPerf); 2] =
+    let scenarios: [(&str, Scenario); 2] =
         [("two_tcps", run_duel), ("mptcp4", run_multipath)];
     for (name, run) in scenarios {
         let (wp, weps) = best_eps(reps, || run(WHEEL));

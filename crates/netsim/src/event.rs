@@ -214,6 +214,18 @@ impl EventQueue {
         }
     }
 
+    /// A lower bound on the `at` of the next event [`Self::pop_before`]
+    /// would return, without popping it; `None` exactly when the queue is
+    /// empty. Exact on the heap; on the wheel it may undershoot by up to
+    /// one coarse slot until the slot cascades (see
+    /// [`TimerWheel::next_floor`]).
+    pub fn next_floor(&self) -> Option<SimTime> {
+        match &self.backend {
+            BackendImpl::Wheel(w) => w.next_floor(),
+            BackendImpl::Heap(h) => h.peek().map(|e| e.at),
+        }
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         match &self.backend {
@@ -393,10 +405,28 @@ mod tests {
         .boxed()
     }
 
+    /// The peek contract at one step of a schedule: a floor exists exactly
+    /// when events are pending, and the wheel's floor never exceeds the
+    /// heap's. Returns the heap's floor, which the caller checks is the
+    /// exact `at` of the next event to pop.
+    fn check_floors(
+        wheel: &EventQueue,
+        heap: &EventQueue,
+    ) -> Result<Option<SimTime>, TestCaseError> {
+        let (w, h) = (wheel.next_floor(), heap.next_floor());
+        prop_assert_eq!(w.is_none(), wheel.len() == 0);
+        prop_assert_eq!(h.is_none(), heap.len() == 0);
+        if let (Some(w), Some(h)) = (w, h) {
+            prop_assert!(w <= h, "wheel floor {w:?} above the next event at {h:?}");
+        }
+        Ok(h)
+    }
+
     proptest! {
         /// Differential test: the wheel pops the exact same (at, seq)
         /// sequence as the reference heap under arbitrary interleavings of
-        /// pushes and horizon-bounded pops.
+        /// pushes and horizon-bounded pops, and at every step `next_floor`
+        /// bounds (wheel) or equals (heap) the `at` of the next pop.
         #[test]
         fn wheel_matches_heap_pop_order(ops in prop::collection::vec(op_strategy(), 1..200)) {
             let mut wheel = EventQueue::with_backend(QueueBackend::TimerWheel);
@@ -410,10 +440,12 @@ mod tests {
                         let at = SimTime(now + delta);
                         wheel.push(at, EventKind::ConnStart { conn: 0 });
                         heap.push(at, EventKind::ConnStart { conn: 0 });
+                        check_floors(&wheel, &heap)?;
                     }
                     Op::PopUntil { delta } => {
                         let horizon = SimTime(now + delta);
                         loop {
+                            let next = check_floors(&wheel, &heap)?;
                             let a = wheel.pop_before(horizon);
                             let b = heap.pop_before(horizon);
                             prop_assert_eq!(
@@ -421,7 +453,10 @@ mod tests {
                                 b.as_ref().map(|e| (e.at, e.seq))
                             );
                             match a {
-                                Some(e) => now = now.max(e.at.as_nanos()),
+                                Some(e) => {
+                                    prop_assert_eq!(next, Some(e.at));
+                                    now = now.max(e.at.as_nanos());
+                                }
                                 None => break,
                             }
                         }
@@ -431,15 +466,15 @@ mod tests {
             }
             // Drain both fully; the tails must agree too.
             loop {
+                let next = check_floors(&wheel, &heap)?;
                 let a = wheel.pop_before(SimTime::MAX);
                 let b = heap.pop_before(SimTime::MAX);
                 prop_assert_eq!(
                     a.as_ref().map(|e| (e.at, e.seq)),
                     b.as_ref().map(|e| (e.at, e.seq))
                 );
-                if a.is_none() {
-                    break;
-                }
+                let Some(e) = a else { break };
+                prop_assert_eq!(next, Some(e.at));
             }
             prop_assert_eq!(wheel.len(), 0);
             prop_assert_eq!(heap.len(), 0);

@@ -54,6 +54,10 @@ pub struct SimPerf {
     /// tracked by the owning structures rather than a global allocator
     /// hook.
     pub hot_allocs: u64,
+    /// Lookahead windows the sharded epoch loop actually stepped (empty
+    /// windows are skipped). Set only in [`crate::ShardedSimulator::perf`];
+    /// always 0 on a single [`crate::Simulator`].
+    pub epochs: u64,
 }
 
 impl_det_digest!(SimPerf {
@@ -74,6 +78,11 @@ impl_det_digest!(SimPerf {
     // scoreboards legitimately count different things), so it stays out
     // of the cross-feature determinism digest, like `wall`.
     hot_allocs,
+    // How many windows the epoch loop stepped is an engine detail, not
+    // simulated state: the same history can be stepped in different
+    // numbers of windows (the wheel's next-event floor is only a lower
+    // bound; the heap's is exact), so it stays out of the digest.
+    epochs,
 });
 
 /// The workspace's **single audited wall-clock read**.
@@ -137,6 +146,7 @@ mod tests {
             stalled_at: None,
             quiesced_at: None,
             hot_allocs: 0,
+            epochs: 0,
         };
         assert!(p.is_consistent());
         assert!(p.events_per_wall_sec() > 0.0);

@@ -18,14 +18,23 @@
 //! produced it, where `lookahead` is the minimum propagation delay over
 //! all *boundary-crossing* links (a packet leaves a link in shard A for a
 //! link — or final delivery — in shard B no earlier than A's clock plus
-//! that link's delay). Time therefore advances in epochs of length
-//! `lookahead`: within an epoch every shard processes its queue
-//! independently, buffering cross-shard arrivals in per-destination
-//! outboxes; at the epoch barrier outboxes are flushed into a mailbox
-//! matrix and drained — in ascending source-shard order — into the
-//! destination queues. Every cross-shard arrival lands in a strictly
-//! later epoch than the one that produced it, so no shard ever receives
-//! an event in its past.
+//! that link's delay). Time therefore advances in epochs: windows of
+//! length `lookahead` on a fixed grid `origin + k·lookahead`, where
+//! `origin` is the clock when [`ShardedSimulator::run_until`] was called.
+//! Within a window every shard processes its queue independently,
+//! buffering cross-shard arrivals in per-destination outboxes; at the
+//! epoch barrier outboxes are flushed into a mailbox matrix and drained —
+//! in ascending source-shard order — into the destination queues. Every
+//! cross-shard arrival lands in a strictly later window than the one that
+//! produced it, so no shard ever receives an event in its past.
+//!
+//! Windows in which no shard has anything to do are skipped. After the
+//! drain every mailbox is empty, so nothing can happen before the
+//! minimum over shards of the queue's next-event floor (exact on the
+//! heap, a lower bound on the timer wheel). The loop moves straight to
+//! the grid window holding that time. Each destination also keeps a
+//! dirty bitset of the sources that wrote to it, so the drain locks only
+//! the mailbox cells that hold packets.
 //!
 //! ## Determinism
 //!
@@ -35,6 +44,13 @@
 //! and `jobs = N` produce bit-identical merged [`DetDigest`]s
 //! ([`ShardedSimulator::det_digest`]), gated by `chaos_smoke` and the
 //! `shard_determinism` proptest.
+//!
+//! Skipping does not change that sequence. A skipped window would have
+//! popped no event and so sent no packet, and its (empty) drain would
+//! have assigned no `seq`. The windows that are stepped lie on the same
+//! grid, with the same boundaries, as without skipping, and the dirty
+//! bitsets drain in the same ascending source order as a full scan. The
+//! golden-digest tests pin histories recorded before skipping existed.
 
 use crate::event::QueueBackend;
 use crate::fault::FaultPlan;
@@ -45,7 +61,7 @@ use crate::sim::{ConnId, ConnectionSpec, ShardCtx, Simulator, SubflowTiming};
 use crate::stats::ConnectionStats;
 use crate::time::SimTime;
 use mptcp_cc::{DetDigest, DigestWriter};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 /// Immutable placement and routing tables shared by every shard of a
@@ -125,6 +141,8 @@ pub struct ShardedSimulator {
     map: Option<Arc<WorldMap>>,
     jobs: usize,
     now: SimTime,
+    /// Lookahead windows actually stepped, over every `run_until` call.
+    epochs: u64,
     wall_nanos: u64,
 }
 
@@ -154,6 +172,7 @@ impl ShardedSimulator {
             map: None,
             jobs: 1,
             now: SimTime::ZERO,
+            epochs: 0,
             wall_nanos: 0,
         }
     }
@@ -327,12 +346,14 @@ impl ShardedSimulator {
 
     /// Merged performance counters: event counts summed over shards, wall
     /// time as measured around the epoch loop (not per shard — workers
-    /// run concurrently). The stall/quiesce detectors are per-`Simulator`
-    /// facilities and stay `None` here.
+    /// run concurrently), and the number of lookahead windows stepped.
+    /// The stall/quiesce detectors are per-`Simulator` facilities and stay
+    /// `None` here.
     pub fn perf(&self) -> SimPerf {
         let mut merged = SimPerf {
             sim_elapsed: self.now,
             wall: std::time::Duration::from_nanos(self.wall_nanos),
+            epochs: self.epochs,
             ..SimPerf::default()
         };
         for shard in &self.shards {
@@ -429,123 +450,215 @@ impl ShardedSimulator {
     }
 
     /// Run the whole world forward to `horizon` (inclusive), advancing
-    /// every shard in lockstep epochs of one lookahead, on up to
-    /// [`Self::jobs`] worker threads. The clock ends at exactly `horizon`;
-    /// the run ends early only if every shard's queue drains.
+    /// every shard in lockstep windows of one lookahead on a grid anchored
+    /// at the current clock, on up to [`Self::jobs`] worker threads.
+    /// Windows in which no shard has an event are skipped (see the
+    /// [module docs](self)). The clock ends at exactly `horizon`; the run
+    /// ends early only if every shard's queue drains.
     pub fn run_until(&mut self, horizon: SimTime) {
         assert!(horizon >= self.now, "time cannot run backwards");
         let started = crate::perf::wall_clock();
         self.ensure_map();
         let n = self.shards.len();
-        let lookahead = self.map.as_ref().expect("map built").lookahead.0.max(1);
-        // Exclusive end of the run: `run_until(h)` processes events at
-        // exactly `h`, matching the single-simulator contract.
-        let hlimit = horizon.0.saturating_add(1);
+        let grid = EpochGrid {
+            origin: self.now.0,
+            lookahead: self.map.as_ref().expect("map built").lookahead.0.max(1),
+            // Exclusive end of the run: `run_until(h)` processes events at
+            // exactly `h`, matching the single-simulator contract.
+            hlimit: horizon.0.saturating_add(1),
+        };
         let workers = self.jobs.min(n).max(1);
-        // Mailbox matrix: cell [src][dst] is written only by src's worker
-        // in the process phase and read only by dst's worker in the drain
-        // phase; the epoch barrier separates the two.
-        let mailboxes: MailboxMatrix =
-            (0..n).map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect()).collect();
+        let mailboxes = Mailboxes::new(n);
+        // Every outbox and mailbox is empty between calls, so the first
+        // window is chosen by the same skip rule as every later one.
+        let first = grid.next_start(grid.origin, min_floor(&self.shards));
+        let mut stepped = 0u64;
         if workers == 1 {
-            let mut t = self.now.0;
-            loop {
-                let window_end = t.saturating_add(lookahead).min(hlimit);
+            let mut start = first;
+            while let Some(t) = start {
+                let end = grid.window_end(t);
                 for (src, shard) in self.shards.iter_mut().enumerate() {
-                    shard.run_epoch(SimTime(window_end - 1));
-                    flush_outbox(shard, src, &mailboxes);
+                    shard.run_epoch(SimTime(end - 1));
+                    mailboxes.flush_outbox(shard, src);
                 }
-                let mut all_empty = true;
                 for (dst, shard) in self.shards.iter_mut().enumerate() {
-                    drain_mailboxes(shard, dst, &mailboxes);
-                    all_empty &= shard.pending_events() == 0;
+                    mailboxes.drain_mailboxes(shard, dst);
                 }
-                t = window_end;
-                if all_empty || t >= hlimit {
-                    break;
-                }
+                stepped += 1;
+                start = grid.next_start(end, min_floor(&self.shards));
             }
         } else {
             let chunk = n.div_ceil(workers);
             let nworkers = n.div_ceil(chunk);
             let barrier = Barrier::new(nworkers);
-            let empty: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-            let all_done = AtomicBool::new(false);
-            let start_t = self.now.0;
+            // Per worker: the minimum next-event floor over its shards,
+            // published before barrier 2.
+            let floors: Vec<AtomicU64> = (0..nworkers).map(|_| AtomicU64::new(NONE)).collect();
+            // The leader's decision: the next window start, or `NONE`.
+            let next = AtomicU64::new(NONE);
+            let windows = AtomicU64::new(0);
             std::thread::scope(|scope| {
                 for (w, shards) in self.shards.chunks_mut(chunk).enumerate() {
                     let base = w * chunk;
                     let (mailboxes, barrier) = (&mailboxes, &barrier);
-                    let (empty, all_done) = (&empty, &all_done);
+                    let (floors, next, windows) = (&floors, &next, &windows);
                     scope.spawn(move || {
-                        let mut t = start_t;
-                        loop {
-                            let window_end = t.saturating_add(lookahead).min(hlimit);
+                        let mut start = first;
+                        while let Some(t) = start {
+                            let end = grid.window_end(t);
                             for (i, shard) in shards.iter_mut().enumerate() {
-                                shard.run_epoch(SimTime(window_end - 1));
-                                flush_outbox(shard, base + i, mailboxes);
+                                shard.run_epoch(SimTime(end - 1));
+                                mailboxes.flush_outbox(shard, base + i);
                             }
                             // Barrier 1: every outbox is flushed before any
                             // shard drains its mailbox column.
                             barrier.wait();
                             for (i, shard) in shards.iter_mut().enumerate() {
-                                drain_mailboxes(shard, base + i, mailboxes);
-                                empty[base + i]
-                                    .store(shard.pending_events() == 0, Ordering::SeqCst);
+                                mailboxes.drain_mailboxes(shard, base + i);
                             }
-                            // Barrier 2: every flag is written and every
-                            // mailbox drained before the leader decides.
+                            let floor = min_floor(shards).map(|f| f.0);
+                            floors[w].store(encode(floor), Ordering::SeqCst);
+                            // Barrier 2: every mailbox is drained and every
+                            // floor published before the leader decides.
                             if barrier.wait().is_leader() {
-                                all_done.store(
-                                    empty.iter().all(|e| e.load(Ordering::SeqCst)),
+                                let floor = floors
+                                    .iter()
+                                    .filter_map(|f| decode(f.load(Ordering::SeqCst)))
+                                    .min();
+                                next.store(
+                                    encode(grid.next_start(end, floor.map(SimTime))),
                                     Ordering::SeqCst,
                                 );
+                                windows.fetch_add(1, Ordering::SeqCst);
                             }
                             // Barrier 3: the decision is published before
-                            // anyone reads it or starts the next epoch.
+                            // anyone reads it or starts the next window.
                             barrier.wait();
-                            t = window_end;
-                            if all_done.load(Ordering::SeqCst) || t >= hlimit {
-                                break;
-                            }
+                            start = decode(next.load(Ordering::SeqCst));
                         }
                     });
                 }
             });
+            stepped = windows.into_inner();
         }
         for shard in &mut self.shards {
             shard.finish_epochs_at(horizon);
         }
         self.now = horizon;
+        self.epochs += stepped;
         self.wall_nanos += started.elapsed().as_nanos() as u64;
     }
+}
+
+/// The window grid of one [`ShardedSimulator::run_until`] call, and the
+/// rule that skips its empty windows. Both epoch loops step through this
+/// one type, so they step the same windows.
+#[derive(Debug, Clone, Copy)]
+struct EpochGrid {
+    /// The clock when `run_until` was called: windows start at
+    /// `origin + k·lookahead`.
+    origin: u64,
+    lookahead: u64,
+    /// Exclusive end of the run.
+    hlimit: u64,
+}
+
+impl EpochGrid {
+    /// Exclusive end of the window that starts at `start`.
+    fn window_end(&self, start: u64) -> u64 {
+        start.saturating_add(self.lookahead).min(self.hlimit)
+    }
+
+    /// The window to step after everything before `done` has been
+    /// processed and every mailbox drained, given the minimum
+    /// [`Simulator::next_floor`] over all shards: the grid window holding
+    /// that floor, never one before `done`. `None` ends the run — every
+    /// queue is empty, or the next event lies past the horizon.
+    ///
+    /// Every window skipped this way would have popped nothing and so
+    /// handed no packet across, so the windows that are stepped keep their
+    /// grid boundaries and drain order, and the history stays the same.
+    fn next_start(&self, done: u64, floor: Option<SimTime>) -> Option<u64> {
+        let offset = floor?.0.saturating_sub(self.origin);
+        let start = (self.origin + offset - offset % self.lookahead).max(done);
+        (start < self.hlimit).then_some(start)
+    }
+}
+
+/// The minimum next-event floor over a set of shards.
+fn min_floor(shards: &[Simulator]) -> Option<SimTime> {
+    shards.iter().filter_map(Simulator::next_floor).min()
+}
+
+/// `None` in the threaded loop's atomics. No window start reaches it
+/// (starts stay below `hlimit ≤ u64::MAX`), and a floor of exactly
+/// `u64::MAX` lies past every horizon, so reading it as "empty" ends the
+/// run just as stepping to it would.
+const NONE: u64 = u64::MAX;
+
+fn encode(t: Option<u64>) -> u64 {
+    t.unwrap_or(NONE)
+}
+
+fn decode(t: u64) -> Option<u64> {
+    (t != NONE).then_some(t)
 }
 
 /// One mailbox cell: the cross-shard arrivals one source shard hands one
 /// destination shard at the epoch barrier.
 type Mailbox = Mutex<Vec<(SimTime, Packet)>>;
-/// The full `[src][dst]` matrix.
-type MailboxMatrix = Vec<Vec<Mailbox>>;
 
-/// Move one shard's buffered cross-shard arrivals into the mailbox
-/// matrix (phase 1 of the epoch barrier; `Vec::append` keeps the outbox's
-/// capacity, so steady-state handoff does not allocate on the source side).
-fn flush_outbox(shard: &mut Simulator, src: usize, mailboxes: &[Vec<Mailbox>]) {
-    for (dst, buf) in shard.shard_outbox().iter_mut().enumerate() {
-        if !buf.is_empty() {
-            mailboxes[src][dst].lock().expect("mailbox poisoned").append(buf);
-        }
-    }
+/// The cross-shard handoff of one `run_until` call: a `[src][dst]` matrix
+/// of mailbox cells, and per destination a dirty bitset of the sources
+/// that wrote to it in the current window. Cell `[src][dst]` is written
+/// only by `src`'s worker before barrier 1 and read only by `dst`'s
+/// worker after it, and the bitset lets the drain lock only the cells
+/// that hold packets. The bitset has one bit per shard, in as many words
+/// as the shard count needs.
+struct Mailboxes {
+    cells: Vec<Vec<Mailbox>>,
+    /// `dirty[dst][src / 64]` bit `src % 64`: cell `[src][dst]` is
+    /// non-empty.
+    dirty: Vec<Vec<AtomicU64>>,
 }
 
-/// Drain every mailbox addressed to `own` into its queue, in ascending
-/// source-shard order — the fixed order that makes the destination's
-/// event-seq assignment independent of worker scheduling.
-fn drain_mailboxes(shard: &mut Simulator, own: usize, mailboxes: &[Vec<Mailbox>]) {
-    for row in mailboxes {
-        let mut m = row[own].lock().expect("mailbox poisoned");
-        for (at, pkt) in m.drain(..) {
-            shard.inject_arrive(at, pkt);
+impl Mailboxes {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        Mailboxes {
+            cells: (0..n).map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect()).collect(),
+            dirty: (0..n).map(|_| (0..words).map(|_| AtomicU64::new(0)).collect()).collect(),
+        }
+    }
+
+    /// Move one shard's buffered cross-shard arrivals into its row of the
+    /// matrix and mark each cell it wrote dirty (phase 1 of the epoch
+    /// barrier; `Vec::append` keeps the outbox's capacity, so steady-state
+    /// handoff does not allocate on the source side).
+    fn flush_outbox(&self, shard: &mut Simulator, src: usize) {
+        for (dst, buf) in shard.shard_outbox().iter_mut().enumerate() {
+            if !buf.is_empty() {
+                self.cells[src][dst].lock().expect("mailbox poisoned").append(buf);
+                self.dirty[dst][src / 64].fetch_or(1 << (src % 64), Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Drain every dirty cell addressed to `own` into its queue, in
+    /// ascending source-shard order — the fixed order that makes the
+    /// destination's event-seq assignment independent of worker
+    /// scheduling. Clean cells are empty and are not locked.
+    fn drain_mailboxes(&self, shard: &mut Simulator, own: usize) {
+        for (word, bits) in self.dirty[own].iter().enumerate() {
+            let mut bits = bits.swap(0, Ordering::SeqCst);
+            while bits != 0 {
+                let src = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let mut m = self.cells[src][own].lock().expect("mailbox poisoned");
+                for (at, pkt) in m.drain(..) {
+                    shard.inject_arrive(at, pkt);
+                }
+            }
         }
     }
 }
@@ -612,12 +725,107 @@ mod tests {
         assert!(a.connection_stats(conns[0]).data_delivered > 0);
     }
 
+    /// Golden digests of `cross_world`, recorded before the epoch loop
+    /// learned to skip empty windows. The `jobs`-equality tests cannot see
+    /// a skip bug that changes the history identically at every `jobs`;
+    /// these constants can. The stepped runs use an irregular 700 ms step,
+    /// so each `run_until` call starts its window grid off the one-shot
+    /// grid; the history is the same either way.
+    #[test]
+    fn cross_world_digests_are_pinned() {
+        const GOLDEN: [(u64, u64); 2] = [(7, 0x0d24_a951_5cce_f699), (23, 0xadf2_635c_a9cb_9e63)];
+        let horizon = SimTime::from_secs(15);
+        for (seed, want) in GOLDEN {
+            for jobs in [1, 2] {
+                let (mut a, _) = cross_world(seed, 2);
+                a.set_jobs(jobs);
+                a.run_until(horizon);
+                let (mut b, _) = cross_world(seed, 2);
+                b.set_jobs(jobs);
+                let mut t = SimTime::ZERO;
+                while t < horizon {
+                    t = (t + SimTime::from_millis(700)).min(horizon);
+                    b.run_until(t);
+                }
+                assert_eq!(a.det_digest(), want, "seed {seed}, jobs {jobs}: one-shot digest");
+                assert_eq!(b.det_digest(), want, "seed {seed}, jobs {jobs}: stepped digest");
+            }
+        }
+    }
+
+    /// A 2-shard world whose only connection starts at 5 s: the idle
+    /// prefix is 500 lookahead windows, and the loop must step almost
+    /// none of them — the same count, and the same history, at any `jobs`.
+    #[test]
+    fn idle_windows_are_skipped() {
+        let lookahead = SimTime::from_millis(10);
+        let run = |jobs: usize, backend: QueueBackend| {
+            let mut sim = ShardedSimulator::with_backend(3, 2, backend);
+            let a = sim.add_link(0, LinkSpec::mbps(10.0, lookahead, 25));
+            let b = sim.add_link(1, LinkSpec::mbps(10.0, lookahead, 25));
+            let c = sim.add_connection(
+                ConnectionSpec::sized(AlgorithmKind::Mptcp, 200)
+                    .start(SimTime::from_secs(5))
+                    .path(vec![a, b]),
+            );
+            sim.set_jobs(jobs);
+            sim.run_until(SimTime::from_millis(4_999));
+            let idle = sim.perf().epochs;
+            sim.run_until(SimTime::from_secs(8));
+            assert!(sim.connection_stats(c).finished_at.is_some(), "the flow must finish");
+            (idle, sim.perf().epochs, sim.det_digest())
+        };
+        let idle_windows = SimTime::from_secs(5).as_nanos() / lookahead.as_nanos();
+        for backend in [QueueBackend::TimerWheel, QueueBackend::BinaryHeap] {
+            let one = run(1, backend);
+            let (idle, total, _) = one;
+            assert!(idle <= 4, "{}: stepped {idle} idle windows", backend.name());
+            assert!(total < idle_windows / 4, "{}: stepped {total} windows", backend.name());
+            assert_eq!(one, run(2, backend), "{}: jobs=2 diverged", backend.name());
+            assert_eq!(one, run(8, backend), "{}: jobs=8 diverged", backend.name());
+        }
+        assert_eq!(
+            run(1, QueueBackend::TimerWheel).2,
+            run(1, QueueBackend::BinaryHeap).2,
+            "the queue backend must not change the history"
+        );
+    }
+
+    /// More shards than one bitset word: traffic from shard 0 to shard 64
+    /// and back sets dirty bits in the second word of each destination.
+    #[test]
+    fn dirty_bitsets_span_more_than_one_word() {
+        let run = |jobs: usize| {
+            let mut sim = ShardedSimulator::new(29, 66);
+            let ms = SimTime::from_millis;
+            let a = sim.add_link(0, LinkSpec::mbps(10.0, ms(5), 25));
+            let b = sim.add_link(64, LinkSpec::mbps(10.0, ms(5), 25));
+            let c = sim.add_link(65, LinkSpec::mbps(10.0, ms(5), 25));
+            let there = sim.add_connection(
+                ConnectionSpec::sized(AlgorithmKind::Mptcp, 300).path(vec![a, b]).path(vec![a, c]),
+            );
+            let back =
+                sim.add_connection(ConnectionSpec::sized(AlgorithmKind::Mptcp, 300).path(vec![b, a]));
+            sim.set_jobs(jobs);
+            sim.run_until(SimTime::from_secs(5));
+            for conn in [there, back] {
+                let stats = sim.connection_stats(conn);
+                assert_eq!(stats.data_delivered, 300, "conn {conn}: {stats:?}");
+            }
+            sim.det_digest()
+        };
+        let one = run(1);
+        assert_eq!(one, run(8), "jobs=8 diverged from jobs=1");
+        assert_eq!(one, run(66), "jobs=66 diverged from jobs=1");
+    }
+
     #[test]
     fn single_shard_world_degenerates_to_one_epoch() {
         // No subflow crosses a boundary → infinite lookahead → the whole
         // run is one epoch per run_until call.
         let (mut sim, conns) = cross_world(5, 1);
         sim.run_until(SimTime::from_secs(10));
+        assert_eq!(sim.perf().epochs, 1);
         assert!(sim.connection_stats(conns[0]).data_delivered > 100);
         assert!(sim.perf().is_consistent());
     }

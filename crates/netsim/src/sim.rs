@@ -625,6 +625,7 @@ impl Simulator {
             stalled_at: self.stalled_at,
             quiesced_at: self.quiesced_at,
             hot_allocs: self.hot_allocs(),
+            epochs: 0,
         }
     }
 
@@ -2071,9 +2072,12 @@ impl Simulator {
         self.queue.push(at, EventKind::Arrive { pkt });
     }
 
-    /// Number of pending events in this shard's queue.
-    pub(crate) fn pending_events(&self) -> usize {
-        self.queue.len()
+    /// A lower bound on the time of this shard's next event, `None` when
+    /// its queue is empty (see [`EventQueue::next_floor`]). The sharded
+    /// epoch loop skips every window that ends before the minimum over
+    /// shards.
+    pub(crate) fn next_floor(&self) -> Option<SimTime> {
+        self.queue.next_floor()
     }
 
     /// Advance the clock to the horizon at the end of a sharded run (the

@@ -1121,7 +1121,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut dsn = 0u64;
         for (step, &(op, x, y, z)) in script.iter().enumerate() {
-            now = now + SimTime::from_micros(500 + x as u64 * 97);
+            now += SimTime::from_micros(500 + x as u64 * 97);
             match op % 4 {
                 0 => {
                     // Send up to x%8+1 new packets, window permitting.
@@ -1240,7 +1240,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut dsn = 0u64;
         for &(op, x, _, _) in first {
-            now = now + SimTime::from_micros(700);
+            now += SimTime::from_micros(700);
             match op % 3 {
                 0 => {
                     for _ in 0..(x % 8 + 1) {
@@ -1269,7 +1269,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut dsn = 0u64;
         for (step, &(op, x, y, z)) in second.iter().enumerate() {
-            now = now + SimTime::from_micros(500 + x as u64 * 97);
+            now += SimTime::from_micros(500 + x as u64 * 97);
             match op % 4 {
                 0 => {
                     for _ in 0..(x % 8 + 1) {
@@ -1359,7 +1359,7 @@ mod tests {
             if epoch == 20 {
                 warmed_allocs = a.alloc_events();
             }
-            now = now + SimTime::from_millis(10);
+            now += SimTime::from_millis(10);
             // Fill the window.
             while a.can_send_new() {
                 assert!(b.can_send_new());
@@ -1383,7 +1383,7 @@ mod tests {
                     a.on_retransmit(seq, now);
                     b.on_retransmit(seq, now);
                 }
-                now = now + SimTime::from_millis(10);
+                now += SimTime::from_millis(10);
             }
             let da = a.on_ack(sent, &NO_SACKS, now, &mut Vec::new());
             let db = b.on_ack(sent, &NO_SACKS, now, &mut Vec::new());
@@ -1407,7 +1407,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut scratch = Vec::with_capacity(64);
         for _ in 0..10 {
-            now = now + SimTime::from_millis(1);
+            now += SimTime::from_millis(1);
             while tx.can_send_new() {
                 let dsn = tx.next_seq;
                 tx.on_send_new(now, dsn);
@@ -1417,7 +1417,7 @@ mod tests {
         }
         let warmed = tx.alloc_events();
         for _ in 0..1000 {
-            now = now + SimTime::from_millis(1);
+            now += SimTime::from_millis(1);
             while tx.can_send_new() {
                 let dsn = tx.next_seq;
                 tx.on_send_new(now, dsn);

@@ -67,6 +67,25 @@ struct Node {
     next: u32,
 }
 
+/// Where the earliest pending event can be, level by level (ticks).
+#[derive(Debug, Clone, Copy)]
+struct Candidates {
+    /// The minimum tick of any level-0 event (exact).
+    c0: Option<u64>,
+    /// The most promising higher-level slot, as `(lower bound, level)`.
+    upper: Option<(u64, usize)>,
+    /// The minimum tick in the overflow list (exact).
+    overflow_min: Option<u64>,
+}
+
+impl Candidates {
+    /// The earliest tick any pending event can fire: every candidate is a
+    /// lower bound, and `c0` and `overflow_min` are exact.
+    fn floor(&self) -> Option<u64> {
+        [self.c0, self.upper.map(|(b, _)| b), self.overflow_min].into_iter().flatten().min()
+    }
+}
+
 /// The timer wheel. See the module docs for the invariants.
 #[derive(Debug)]
 pub(crate) struct TimerWheel {
@@ -227,30 +246,43 @@ impl TimerWheel {
         Some(best)
     }
 
+    /// The per-level candidates `advance` chooses among, without moving
+    /// anything.
+    fn candidates(&self) -> Candidates {
+        let c0 = self.level0_candidate();
+        let mut upper: Option<(u64, usize)> = None;
+        for level in 1..LEVELS {
+            if let Some(c) = self.level_candidate(level) {
+                if upper.is_none_or(|(b, _)| c < b) {
+                    upper = Some((c, level));
+                }
+            }
+        }
+        let overflow_min = self.overflow.iter().map(|&(at, _, _)| tick_of(at)).min();
+        Candidates { c0, upper, overflow_min }
+    }
+
+    /// A lower bound on the `at` of the next event to pop, or `None` when
+    /// the wheel is empty. Exact while the drain bucket holds the current
+    /// tick; otherwise the start of the tick [`Candidates::floor`] names,
+    /// which may lie up to one coarse slot before the event itself (the
+    /// slot cascades, and the bound tightens, once a pop reaches it).
+    pub fn next_floor(&self) -> Option<SimTime> {
+        if let Some(&(at, _, _)) = self.cur.last() {
+            return Some(at);
+        }
+        self.candidates().floor().map(|tick| SimTime(tick << GRAN_BITS))
+    }
+
     /// Advance the cursor to the next occupied tick ≤ `h_tick` and load
     /// its events into the drain bucket. Returns `false` (leaving the
     /// cursor at `h_tick` at most) when no event fires by the horizon.
     fn advance(&mut self, h_tick: u64) -> bool {
         debug_assert!(self.cur.is_empty());
         loop {
-            let c0 = self.level0_candidate();
-            // The most promising higher-level slot, as (candidate, level).
-            let mut upper: Option<(u64, usize)> = None;
-            for level in 1..LEVELS {
-                if let Some(c) = self.level_candidate(level) {
-                    if upper.is_none_or(|(b, _)| c < b) {
-                        upper = Some((c, level));
-                    }
-                }
-            }
-            let overflow_min = self.overflow.iter().map(|&(at, _, _)| tick_of(at)).min();
-
-            // The earliest any pending event can fire (every candidate is
-            // a lower bound; c0 and overflow_min are exact).
-            let floor = [c0, upper.map(|(b, _)| b), overflow_min]
-                .into_iter()
-                .flatten()
-                .min();
+            let cands = self.candidates();
+            let Candidates { c0, upper, overflow_min } = cands;
+            let floor = cands.floor();
 
             if !self.cur.is_empty() {
                 // A cascade below dropped events of tick == origin into the

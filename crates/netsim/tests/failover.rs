@@ -37,7 +37,7 @@ fn backup_stays_cold_fails_over_and_stands_down() {
     sim.run_until(SimTime::from_secs(10));
     let st = sim.connection_stats(conn);
     assert!(st.subflows[1].backup && !st.subflows[0].backup);
-    assert_eq!(st.subflows[0].closed, false);
+    assert!(!st.subflows[0].closed);
     assert_eq!(st.subflows[1].sent_pkts, 0, "backup sent data while primary healthy: {st:?}");
     assert!(!st.backup_active && st.backup_activations == 0);
     assert!(st.data_delivered > 1_000, "primary made no progress");

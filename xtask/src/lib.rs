@@ -145,9 +145,13 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(findings)
 }
 
+/// The result of [`audit_allows`]: every well-formed `lint:allow` with the
+/// file it sits in, and a finding per malformed one.
+pub type AllowAudit = (Vec<(PathBuf, Allow)>, Vec<Finding>);
+
 /// Every well-formed `lint:allow` annotation in the workspace (for the
 /// annotation-audit test), plus findings for the malformed ones.
-pub fn audit_allows(root: &Path) -> io::Result<(Vec<(PathBuf, Allow)>, Vec<Finding>)> {
+pub fn audit_allows(root: &Path) -> io::Result<AllowAudit> {
     let mut dirs: Vec<(PathBuf, Scope)> = vec![
         (root.join("src"), Scope::General),
         (root.join("tests"), Scope::General),
