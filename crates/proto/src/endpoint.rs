@@ -341,6 +341,8 @@ pub struct Endpoint {
     recv_ooo: BTreeMap<u64, (usize, Vec<u8>)>,
     /// Retransmissions produced during ACK processing, flushed by `poll`.
     pending_out: Vec<(usize, Segment)>,
+    /// Scratch list of the subflows `poll` may map data onto.
+    usable: Vec<usize>,
     /// In-order data not yet read by the application.
     recv_app: VecDeque<u8>,
     /// FIFO attribution of buffered bytes to subflows (PerSubflow mode).
@@ -421,6 +423,7 @@ impl Endpoint {
             rcv_data_next: 0,
             recv_ooo: BTreeMap::new(),
             pending_out: Vec::new(),
+            usable: Vec::new(),
             recv_app: VecDeque::new(),
             recv_attribution: VecDeque::new(),
             peer_fin: None,
@@ -459,11 +462,28 @@ impl Endpoint {
 
     /// Read in-order received data into `buf`; returns bytes read.
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
-        let window_before: Vec<u32> =
-            (0..self.subs.len()).map(|i| self.advertised_window(i)).collect();
         let n = buf.len().min(self.recv_app.len());
-        for b in buf.iter_mut().take(n) {
-            *b = self.recv_app.pop_front().expect("length checked");
+        if n == 0 {
+            return 0;
+        }
+        let (head, tail) = ring_range(&self.recv_app, 0, n);
+        buf[..head.len()].copy_from_slice(head);
+        buf[head.len()..n].copy_from_slice(tail);
+        self.recv_app.drain(..n);
+        // Window update: if reading reopened a window that had closed below
+        // one MSS, tell the peer — otherwise a sender blocked on a zero
+        // window would deadlock (TCP's window-update rule). The window only
+        // grows while reading, so it crossed one MSS overall exactly when
+        // one release step crossed it.
+        let (cap, mss) = (self.cfg.recv_buf, self.cfg.mss as u32);
+        let reopened = |held_before: usize, held_after: usize| {
+            window_left(cap, held_before) < mss && window_left(cap, held_after) >= mss
+        };
+        let shared = self.cfg.recv_mode == RecvBufferMode::Shared;
+        if shared && reopened(self.recv_app.len() + n, self.recv_app.len()) {
+            for s in self.subs.iter_mut().filter(|s| s.established) {
+                s.ack_pending = true;
+            }
         }
         // Release attribution FIFO (PerSubflow accounting).
         let mut remaining = n;
@@ -472,20 +492,14 @@ impl Endpoint {
             let take = remaining.min(*len);
             *len -= take;
             remaining -= take;
-            self.subs[*sub].held_bytes -= take;
+            let s = &mut self.subs[*sub];
+            let held_before = s.held_bytes;
+            s.held_bytes -= take;
+            if !shared && s.established && reopened(held_before, s.held_bytes) {
+                s.ack_pending = true;
+            }
             if *len == 0 {
                 self.recv_attribution.pop_front();
-            }
-        }
-        // Window update: if reading reopened a window that had closed below
-        // one MSS, tell the peer — otherwise a sender blocked on a zero
-        // window would deadlock (TCP's window-update rule).
-        if n > 0 {
-            let mss = self.cfg.mss as u32;
-            for (i, &before) in window_before.iter().enumerate() {
-                if self.subs[i].established && before < mss && self.advertised_window(i) >= mss {
-                    self.subs[i].ack_pending = true;
-                }
             }
         }
         n
@@ -702,11 +716,9 @@ impl Endpoint {
     ///   connection.
     fn advertised_window(&self, sub: usize) -> u32 {
         match self.cfg.recv_mode {
-            RecvBufferMode::Shared => {
-                self.cfg.recv_buf.saturating_sub(self.recv_app.len()) as u32
-            }
+            RecvBufferMode::Shared => window_left(self.cfg.recv_buf, self.recv_app.len()),
             RecvBufferMode::PerSubflow => {
-                self.cfg.recv_buf.saturating_sub(self.subs[sub].held_bytes) as u32
+                window_left(self.cfg.recv_buf, self.subs[sub].held_bytes)
             }
         }
     }
@@ -1017,11 +1029,12 @@ impl Endpoint {
         if dack > self.data_acked {
             self.data_acked = dack;
         }
-        // Release send-buffer bytes the peer has at the data level.
-        while self.snd_data_base < self.data_acked && !self.send_buf.is_empty() {
-            self.send_buf.pop_front();
-            self.snd_data_base += 1;
-        }
+        // Release send-buffer bytes the peer has at the data level (the
+        // FIN's data sequence number lies past the buffer, hence the cap).
+        let acked = self.data_acked.saturating_sub(self.snd_data_base);
+        let k = acked.min(self.send_buf.len() as u64);
+        self.send_buf.drain(..k as usize);
+        self.snd_data_base += k;
         // Drop reinjections that are no longer needed (a FIN occupies one
         // data sequence number).
         self.reinject_queue
@@ -1139,12 +1152,28 @@ impl Endpoint {
     /// Retransmission interval for SYN / SYN-ACK segments.
     const SYN_RTO: Micros = 500_000;
 
-    /// The earliest timer deadline, if any (for event-driven harnesses).
+    /// The earliest timer deadline, if any (for event-driven harnesses):
+    /// a harness that polls at every segment arrival and at this time
+    /// never misses a retransmission. Covers the subflow RTOs, the persist
+    /// timer, the client's SYN / join-SYN retransmits, and the path
+    /// manager's advertisement retransmits and owed echoes (those only
+    /// once a subflow can carry them, so the deadline is never one that
+    /// `poll` cannot act on).
     pub fn next_deadline(&self) -> Option<Micros> {
+        let syn = self
+            .subs
+            .iter()
+            .filter(|s| self.role == Role::Client && s.syn_sent && !s.established)
+            .map(|s| s.syn_sent_at + Self::SYN_RTO);
+        let can_signal = self.mp_enabled == Some(true)
+            && self.subs.iter().any(|s| s.established && !s.closed);
+        let path = self.path.next_deadline().filter(|_| can_signal);
         self.subs
             .iter()
             .filter_map(|s| s.rto_deadline)
             .chain(self.persist_deadline)
+            .chain(syn)
+            .chain(path)
             .min()
     }
 
@@ -1385,24 +1414,20 @@ impl Endpoint {
                     self.reinject_queue.push_back((dseq, data, is_fin));
                 }
             }
-            self.retransmit_first_unacked_into(now, sub, out);
+            out.extend(self.retransmit_head(now, sub));
         }
     }
 
     /// Retransmit from ACK-processing context: buffered until the next
     /// `poll`, which keeps segment emission on a single channel.
     fn retransmit_first_unacked(&mut self, now: Micros, sub: usize) {
-        let mut scratch = Vec::new();
-        self.retransmit_first_unacked_into(now, sub, &mut scratch);
-        self.pending_out.extend(scratch);
+        let seg = self.retransmit_head(now, sub);
+        self.pending_out.extend(seg);
     }
 
-    fn retransmit_first_unacked_into(
-        &mut self,
-        now: Micros,
-        sub: usize,
-        out: &mut Vec<(usize, Segment)>,
-    ) {
+    /// Rebuild the oldest unacknowledged segment of `sub` for
+    /// retransmission (`None` when nothing is in flight).
+    fn retransmit_head(&mut self, now: Micros, sub: usize) -> Option<(usize, Segment)> {
         let window = self.advertised_window(sub);
         let dack = if self.mp_enabled == Some(true) {
             Some(self.rcv_data_next)
@@ -1410,7 +1435,7 @@ impl Endpoint {
             None
         };
         let s = &mut self.subs[sub];
-        let Some(seg) = s.inflight.front_mut() else { return };
+        let seg = s.inflight.front_mut()?;
         seg.sent_at = now;
         seg.retransmitted = true;
         s.retransmits += 1;
@@ -1418,7 +1443,7 @@ impl Endpoint {
         if self.mp_enabled == Some(true) {
             options.push(MptcpOption::Dss { data_seq: Some(seg.data_seq), data_ack: dack });
         }
-        out.push((
+        Some((
             sub,
             Segment {
                 subflow_seq: seg.sub_seq,
@@ -1428,7 +1453,7 @@ impl Endpoint {
                 options,
                 payload: seg.payload.clone(),
             },
-        ));
+        ))
     }
 
     fn poll_data(&mut self, now: Micros, out: &mut Vec<(usize, Segment)>) {
@@ -1437,8 +1462,12 @@ impl Endpoint {
         if self.mp_enabled.is_none() {
             return; // handshake not finished
         }
-        let usable: Vec<usize> = if self.is_fallback() {
-            vec![0]
+        // The usable-subflow list lives in a buffer the endpoint keeps, so
+        // a poll allocates nothing once it has grown to the subflow count.
+        let mut usable = std::mem::take(&mut self.usable);
+        usable.clear();
+        if self.is_fallback() {
+            usable.push(0);
         } else {
             // A subflow in repeated RTO backoff is "potentially failed":
             // it keeps probing via its own retransmissions, but gets no
@@ -1448,31 +1477,34 @@ impl Endpoint {
                     && !s.closed
                     && s.rto_backoffs < mptcp_cc::POTENTIALLY_FAILED_RTO_BACKOFFS
             };
-            let primaries: Vec<usize> = (0..self.subs.len())
-                .filter(|&i| !self.subs[i].backup && healthy(&self.subs[i]))
-                .collect();
-            if !primaries.is_empty() {
+            usable.extend((0..self.subs.len()).filter(|&i| {
+                !self.subs[i].backup && healthy(&self.subs[i])
+            }));
+            if !usable.is_empty() {
                 // Recovered: a primary is usable, warm backups stand down.
                 self.backup_active = false;
-                primaries
             } else {
                 // Failover: every non-backup subflow is potentially failed
                 // or closed, so data moves onto the warm backups.
-                let backups: Vec<usize> = (0..self.subs.len())
-                    .filter(|&i| self.subs[i].backup && healthy(&self.subs[i]))
-                    .collect();
-                if !backups.is_empty() && !self.backup_active {
+                usable.extend((0..self.subs.len()).filter(|&i| {
+                    self.subs[i].backup && healthy(&self.subs[i])
+                }));
+                if !usable.is_empty() && !self.backup_active {
                     self.backup_active = true;
                     self.backup_activations += 1;
                     self.failover_latency_us =
                         Some(now - self.primary_down_since.unwrap_or(now));
                 }
-                backups
             }
-        };
-        if usable.is_empty() {
-            return;
         }
+        if !usable.is_empty() {
+            self.send_on(now, &usable, out);
+        }
+        self.usable = usable;
+    }
+
+    /// Map reinjections, new data and the FIN onto the `usable` subflows.
+    fn send_on(&mut self, now: Micros, usable: &[usize], out: &mut Vec<(usize, Segment)>) {
         // Reinjections take priority: send each on the least-loaded usable
         // subflow with window space.
         while let Some((dseq, data, is_fin)) = self.reinject_queue.pop_front() {
@@ -1491,7 +1523,7 @@ impl Endpoint {
         // New data, striped round-robin over subflows with window space.
         loop {
             let mut progressed = false;
-            for &sub in &usable {
+            for &sub in usable {
                 let mss = self.cfg.mss;
                 let s = &self.subs[sub];
                 let cwnd_space =
@@ -1526,8 +1558,10 @@ impl Endpoint {
                     continue;
                 }
                 let off = (self.snd_data_next - self.snd_data_base) as usize;
-                let data: Vec<u8> =
-                    self.send_buf.iter().skip(off).take(len).copied().collect();
+                let (head, tail) = ring_range(&self.send_buf, off, len);
+                let mut data = Vec::with_capacity(len);
+                data.extend_from_slice(head);
+                data.extend_from_slice(tail);
                 let dseq = self.snd_data_next;
                 self.snd_data_next += len as u64;
                 self.transmit_mapped(now, sub, dseq, data, false, out);
@@ -1677,6 +1711,24 @@ fn snapshots_of(subs: &[Subflow], mss: f64) -> Vec<SubflowSnapshot> {
         .collect()
 }
 
+/// Receive window left in a buffer of `cap` bytes holding `held`.
+fn window_left(cap: usize, held: usize) -> u32 {
+    cap.saturating_sub(held) as u32
+}
+
+/// Bytes `off..off + len` of a ring buffer as at most two contiguous
+/// slices (the second is empty unless the range straddles the wrap).
+fn ring_range(buf: &VecDeque<u8>, off: usize, len: usize) -> (&[u8], &[u8]) {
+    let (a, b) = buf.as_slices();
+    if off >= a.len() {
+        let off = off - a.len();
+        (&b[off..off + len], &[])
+    } else if off + len <= a.len() {
+        (&a[off..off + len], &[])
+    } else {
+        (&a[off..], &b[..off + len - a.len()])
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1973,6 +2025,129 @@ mod tests {
         assert_eq!(ss.recv_buffered, 0, "read drained the buffer");
         assert_eq!(cs.subflows.len(), 2);
         assert!(cs.subflows.iter().all(|f| f.established && !f.potentially_failed));
+    }
+
+    /// Bytes `0..n` of a deterministic, non-periodic test stream.
+    fn stream(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 7 + i / 251) as u8).collect()
+    }
+
+    /// Event-driven harness: both endpoints are polled only when a segment
+    /// arrives or a `next_deadline()` falls due. The client's first SYN is
+    /// lost, so only the SYN retransmit timer can start the connection.
+    #[test]
+    fn next_deadline_drives_a_transfer_after_a_lost_first_syn() {
+        use crate::wire::Wire;
+        let cfg = EndpointConfig::default();
+        let (mut c, mut s) = (Endpoint::client(cfg, 2, 7), Endpoint::server(cfg, 2, 7));
+        let mut wires = [Wire::new(3_000, 1), Wire::new(5_000, 2)];
+        let data = stream(100_000);
+        let (mut written, mut got) = (0, Vec::new());
+        let mut buf = [0u8; 4096];
+        let mut syn_dropped = false;
+        let mut now: Micros = 0;
+        for _ in 0..100_000 {
+            for (i, w) in wires.iter_mut().enumerate() {
+                for seg in w.recv_a(now) {
+                    c.on_segment(now, i, seg);
+                }
+                for seg in w.recv_b(now) {
+                    s.on_segment(now, i, seg);
+                }
+            }
+            if written < data.len() {
+                written += c.write(&data[written..]);
+                if written == data.len() {
+                    c.close();
+                }
+            }
+            for (sub, seg) in c.poll(now) {
+                if !syn_dropped && seg.flags.syn {
+                    syn_dropped = true;
+                    continue;
+                }
+                wires[sub].send_a(now, seg);
+            }
+            for (sub, seg) in s.poll(now) {
+                wires[sub].send_b(now, seg);
+            }
+            while let n @ 1.. = s.read(&mut buf) {
+                got.extend_from_slice(&buf[..n]);
+            }
+            if s.at_eof() && c.send_complete() {
+                break;
+            }
+            let next = wires
+                .iter()
+                .filter_map(Wire::next_delivery)
+                .chain(c.next_deadline())
+                .chain(s.next_deadline())
+                .min();
+            let Some(next) = next else { break };
+            now = next.max(now);
+        }
+        assert!(syn_dropped);
+        assert!(s.at_eof() && c.send_complete(), "transfer stalled at {now} µs");
+        assert_eq!(got, data);
+        assert!(now >= Endpoint::SYN_RTO, "the SYN retransmit started the connection");
+    }
+
+    /// Small rings whose sizes are not multiples of the MSS, partial
+    /// data-ACKs (the reader drains slowly) and partial reads make both
+    /// `VecDeque`s wrap many times. Every data segment must carry exactly
+    /// the written bytes at its DSS sequence number — including segments
+    /// copied from both halves of a wrapped send buffer — and reads of 1,
+    /// odd and 4096 bytes must return the exact stream, across the wrap too.
+    #[test]
+    fn ring_wrap_around_preserves_payloads() {
+        let cfg = EndpointConfig {
+            mss: 100,
+            send_buf: 1_037,
+            recv_buf: 733,
+            ..Default::default()
+        };
+        let (mut c, mut s) = (Endpoint::client(cfg, 2, 7), Endpoint::server(cfg, 2, 7));
+        let data = stream(60_000);
+        let (mut written, mut got) = (0, Vec::new());
+        let (mut straddling_segments, mut straddling_reads) = (0, 0);
+        let read_sizes = [1usize, 7, 4096, 333, 1, 99];
+        let mut buf = [0u8; 4096];
+        for t in 1..20_000u64 {
+            let now = t * 1000;
+            if written < data.len() {
+                written += c.write(&data[written..]);
+            }
+            // The send ring's wrap point in data sequence space, if wrapped
+            // (`poll` only reads the send buffer, so it holds for the poll).
+            let (head, tail) = c.send_buf.as_slices();
+            let wrap = (!tail.is_empty()).then(|| c.snd_data_base + head.len() as u64);
+            for (sub, seg) in c.poll(now) {
+                if let (Some((Some(dseq), _)), false) = (seg.dss(), seg.payload.is_empty()) {
+                    let (lo, hi) = (dseq as usize, dseq as usize + seg.payload.len());
+                    assert_eq!(seg.payload, data[lo..hi], "payload at data seq {dseq}");
+                    if wrap.is_some_and(|w| dseq < w && w < hi as u64) {
+                        straddling_segments += 1;
+                    }
+                }
+                s.on_segment(now, sub, seg);
+            }
+            for (sub, seg) in s.poll(now) {
+                c.on_segment(now, sub, seg);
+            }
+            let want = read_sizes[t as usize % read_sizes.len()];
+            let (head, tail) = s.recv_app.as_slices();
+            if !tail.is_empty() && want.min(s.recv_app.len()) > head.len() {
+                straddling_reads += 1;
+            }
+            let n = s.read(&mut buf[..want]);
+            got.extend_from_slice(&buf[..n]);
+            if got.len() == data.len() {
+                break;
+            }
+        }
+        assert_eq!(got, data, "reads must return the exact stream");
+        assert!(straddling_segments > 0, "no segment straddled the send-ring wrap");
+        assert!(straddling_reads > 0, "no read straddled the receive-ring wrap");
     }
 
     #[test]

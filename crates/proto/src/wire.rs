@@ -1,7 +1,7 @@
 //! A deterministic in-memory path with middlebox misbehaviour.
 //!
-//! One `Wire` carries one subflow's segments in one direction…no — both
-//! directions: each direction has its own queue. Faults model the §6
+//! One `Wire` carries one subflow's segments in both directions, each
+//! direction with its own delivery queue. Faults model the §6
 //! middleboxes: random loss, reordering, option stripping (a firewall that
 //! does not understand MPTCP options), and initial-sequence-number
 //! rewriting (the `pf` example: "the pf firewall can re-write TCP sequence
@@ -168,6 +168,12 @@ impl Wire {
             out.push(dir.queue.pop().unwrap().seg);
         }
         out
+    }
+
+    /// When the earliest segment in flight (either direction) is due.
+    pub fn next_delivery(&self) -> Option<Micros> {
+        let head = |d: &Direction| d.queue.peek().map(|f| f.deliver_at);
+        head(&self.a_to_b).into_iter().chain(head(&self.b_to_a)).min()
     }
 
     /// Whether anything is still in flight.
