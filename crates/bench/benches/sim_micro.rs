@@ -9,18 +9,22 @@
 //! * `queue_churn` isolates the scheduler itself (pop + re-push with a
 //!   large resident event set), where the wheel's O(1) beats the heap's
 //!   O(log n) directly;
+//! * `queue_churn_timers` adds a parked set of one-second RTO timers to
+//!   a near-event churn — the FatTree shape, where the wheel's cursor sits
+//!   inside a coarse slot full of timers for a tenth of a simulated
+//!   second. The wheel must beat the heap here (asserted);
 //! * `two_tcps` / `mptcp4` are end-to-end simulations, where per-event
 //!   TCP processing dilutes the queue's share of the wall time.
 //!
 //! The end-to-end runs also double as a determinism check: both backends
 //! must process the exact same number of events.
 
-use mptcp_bench::report::{merge_bench_sim, read_bench_field, Record};
+use mptcp_bench::report::{host_cores, merge_bench_sim, read_bench_field, Record};
 use mptcp_bench::{banner, f2, quick_mode, Table};
 use mptcp_cc::AlgorithmKind;
 use mptcp_netsim::{
-    queue_churn, scoreboard_churn, ConnectionSpec, LinkSpec, ProbeSpec, QueueBackend,
-    ScoreboardKind, SimPerf, SimTime, Simulator,
+    queue_churn, queue_churn_timers, scoreboard_churn, ConnectionSpec, LinkSpec, ProbeSpec,
+    QueueBackend, ScoreboardKind, SimPerf, SimTime, Simulator,
 };
 
 const WHEEL: QueueBackend = QueueBackend::TimerWheel;
@@ -101,7 +105,15 @@ fn main() {
     let quick = quick_mode();
     let reps = if quick { 3 } else { 10 };
     let mut records = Vec::new();
-    let mut t = Table::new(&["scenario", "events", "wheel Mev/s", "heap Mev/s", "speedup"]);
+    let mut t = Table::new(&[
+        "scenario",
+        "events",
+        "wheel Mev/s",
+        "heap Mev/s",
+        "speedup",
+        "cascades",
+        "cascaded ev",
+    ]);
 
     // Scheduler-only churn: a large resident event set is where the heap's
     // O(log n) hurts most; sized near the peak_pending of the big §4 runs.
@@ -121,6 +133,8 @@ fn main() {
         f2(wheel_eps / 1e6),
         f2(heap_eps / 1e6),
         format!("{:.2}x", wheel_eps / heap_eps),
+        "-".into(),
+        "-".into(),
     ]);
     records.push(
         Record::new("sim_micro/queue_churn")
@@ -156,6 +170,8 @@ fn main() {
             f2(weps / 1e6),
             f2(heps / 1e6),
             format!("{:.2}x", weps / heps),
+            "-".into(),
+            "-".into(),
         ]);
         if pending == 92 {
             small_row = Some((weps, heps));
@@ -169,6 +185,49 @@ fn main() {
             .field("wheel_events_per_sec", weps)
             .field("heap_events_per_sec", heps)
             .field("speedup", weps / heps)
+            .field("quick", quick),
+    );
+
+    // Near-event churn around parked RTO timers: 1,024 near events plus
+    // 4,096 one-second timers (a FatTree k=8 run with 128 8-subflow flows
+    // parks 1,024 of them). The wheel's next-event search must not depend
+    // on how many timers share the coarse slot its cursor sits in: a walk
+    // of that slot's list on every advance loses to the heap ~14x here.
+    let (near, timers) = (1024usize, 4096usize);
+    // ~1,000 near pops per simulated ms: quick mode covers 2 s, so the
+    // cursor parks twice among the timers, at 0.81 s and 1.88 s.
+    let timer_ops: u64 = if quick { 2_000_000 } else { 8_000_000 };
+    let (mut w, mut h) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.min(5) {
+        w = w.min(queue_churn_timers(WHEEL, near, timers, timer_ops).as_secs_f64());
+        h = h.min(queue_churn_timers(HEAP, near, timers, timer_ops).as_secs_f64());
+    }
+    let (weps, heps) = (timer_ops as f64 / w, timer_ops as f64 / h);
+    t.row(vec![
+        format!("queue_churn_timers({near}+{timers})"),
+        timer_ops.to_string(),
+        f2(weps / 1e6),
+        f2(heps / 1e6),
+        format!("{:.2}x", weps / heps),
+        "-".into(),
+        "-".into(),
+    ]);
+    assert!(
+        weps > heps,
+        "queue_churn_timers: the wheel ({:.2} Mev/s) must beat the heap ({:.2} Mev/s) \
+         with {timers} parked timers",
+        weps / 1e6,
+        heps / 1e6
+    );
+    records.push(
+        Record::new("sim_micro/queue_churn_timers")
+            .field("pending", near as u64)
+            .field("timers", timers as u64)
+            .field("ops", timer_ops)
+            .field("wheel_events_per_sec", weps)
+            .field("heap_events_per_sec", heps)
+            .field("speedup", weps / heps)
+            .field("host_cores", host_cores())
             .field("quick", quick),
     );
 
@@ -221,11 +280,15 @@ fn main() {
             f2(weps / 1e6),
             f2(heps / 1e6),
             format!("{:.2}x", weps / heps),
+            wp.queue_cascades.to_string(),
+            wp.queue_cascaded_events.to_string(),
         ]);
         records.push(
             Record::new(format!("sim_micro/{name}"))
                 .field("events", wp.events_fired)
                 .field("peak_pending", wp.peak_pending)
+                .field("queue_cascades", wp.queue_cascades)
+                .field("queue_cascaded_events", wp.queue_cascaded_events)
                 .field("wheel_events_per_sec", weps)
                 .field("heap_events_per_sec", heps)
                 .field("speedup", weps / heps)

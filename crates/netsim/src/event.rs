@@ -243,6 +243,26 @@ impl EventQueue {
     pub fn peak_pending(&self) -> usize {
         self.peak_pending
     }
+
+    /// `(coarse slots cascaded, nodes those cascades re-inserted)` on the
+    /// wheel; `(0, 0)` on the heap, which has no levels.
+    pub fn cascades(&self) -> (u64, u64) {
+        match &self.backend {
+            BackendImpl::Wheel(w) => w.cascades(),
+            BackendImpl::Heap(_) => (0, 0),
+        }
+    }
+}
+
+/// A deterministic xorshift64 stream: the scheduler microbenches draw
+/// their deltas from it so every backend sees the identical workload.
+fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
 }
 
 /// Scheduler-only micro-benchmark: hold `pending` events resident and do
@@ -256,13 +276,7 @@ impl EventQueue {
 /// the identical workload.
 pub fn queue_churn(backend: QueueBackend, pending: usize, ops: u64) -> std::time::Duration {
     let mut q = EventQueue::with_backend(backend);
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
     // Deltas up to 100 ms spread events across several wheel levels, like
     // the mix of serialization, propagation and RTO timers in a real run.
     const SPREAD: u64 = 100_000_000;
@@ -273,6 +287,54 @@ pub fn queue_churn(backend: QueueBackend, pending: usize, ops: u64) -> std::time
     for _ in 0..ops {
         let e = q.pop_before(SimTime::MAX).expect("queue stays at `pending` events");
         q.push(SimTime(e.at.as_nanos() + 1 + next() % SPREAD), EventKind::ConnStart { conn: 0 });
+    }
+    started.elapsed()
+}
+
+/// [`queue_churn`] with parked retransmission timers alongside: `pending`
+/// near events, each re-pushed 1 ns–2 ms ahead when it pops, plus
+/// `timers` RTO-style events, each re-armed 1.0–1.1 s ahead when it
+/// fires. Returns the wall time of `ops` near-event pops (timer firings
+/// are not counted).
+///
+/// This is the shape of a FatTree run: a dense stream of link and ACK
+/// events around a large, mostly idle set of one-second initial RTOs.
+/// Those timers share coarse wheel slots, and the near stream's cascades
+/// carry the cursor into such a slot long before its first timer is due,
+/// so the row measures what the wheel's next-event search costs while
+/// the cursor is parked there. Deterministic (internal xorshift): both
+/// backends see the identical workload.
+pub fn queue_churn_timers(
+    backend: QueueBackend,
+    pending: usize,
+    timers: usize,
+    ops: u64,
+) -> std::time::Duration {
+    let mut q = EventQueue::with_backend(backend);
+    let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+    const NEAR: EventKind = EventKind::ConnStart { conn: 0 };
+    const TIMER: EventKind = EventKind::RtoFire { conn: 0, sub: 0 };
+    const NEAR_SPREAD: u64 = 2_000_000;
+    const RTO: u64 = 1_000_000_000;
+    const RTO_SPREAD: u64 = 100_000_000;
+    for _ in 0..pending {
+        q.push(SimTime(1 + next() % NEAR_SPREAD), NEAR);
+    }
+    for _ in 0..timers {
+        q.push(SimTime(RTO + next() % RTO_SPREAD), TIMER);
+    }
+    let started = crate::perf::wall_clock();
+    let mut near_pops = 0;
+    while near_pops < ops {
+        let e = q.pop_before(SimTime::MAX).expect("the churn never drains the queue");
+        let at = e.at.as_nanos();
+        match e.kind {
+            EventKind::RtoFire { .. } => q.push(SimTime(at + RTO + next() % RTO_SPREAD), TIMER),
+            _ => {
+                near_pops += 1;
+                q.push(SimTime(at + 1 + next() % NEAR_SPREAD), NEAR);
+            }
+        }
     }
     started.elapsed()
 }
@@ -396,11 +458,17 @@ mod tests {
             (0u64..5_000_000).prop_map(|delta| Op::Push { delta }),
             // ...same-tick bursts (several events inside one 1.024 µs tick),
             (0u64..1_024).prop_map(|delta| Op::Push { delta }),
-            // ...far-future RTO-style deadlines (up to 60 s and beyond the
-            // wheel span at ~19 h),
+            // ...far-future deadlines (up to 60 s and beyond the wheel
+            // span at ~19 h),
             (0u64..80_000_000_000_000).prop_map(|delta| Op::Push { delta }),
-            // ...and pops that advance simulated time.
+            // ...RTO-scale timers (200 ms–3 s), which share the 268 ms
+            // level-3 slots the far arm above almost never reaches,
+            (200_000_000u64..3_000_000_000).prop_map(|delta| Op::Push { delta }),
+            // ...pops that advance simulated time a little,
             (0u64..10_000_000).prop_map(|delta| Op::PopUntil { delta }),
+            // ...and pops long enough to carry the cursor into and through
+            // those coarse slots.
+            (0u64..400_000_000).prop_map(|delta| Op::PopUntil { delta }),
         ]
         .boxed()
     }
@@ -490,6 +558,68 @@ mod tests {
         assert!(std::mem::size_of::<AckInfo>() > 64, "payload belongs in the pool");
         let sz = std::mem::size_of::<Event>();
         assert!(sz <= 72, "Event grew to {sz} bytes; keep it lean");
+    }
+
+    /// The parked-slot geometry of a FatTree run. 1,024 timers pushed at
+    /// t = 0 for 0.9–1.0 s all land in level-3 slot 3 (ticks 786,432 to
+    /// 1,048,575), and a self-re-arming stream of near events (1–120 µs
+    /// ahead) carries the cursor across tick 786,432 through a level-1
+    /// cascade, which wins the tie with the level-3 slot starting on the
+    /// same tick. The cursor then sits inside slot 3 for ~95 ms before the
+    /// first timer is due. Both backends are driven to 1.1 s with
+    /// horizon-bounded pops, and at every step they must pop the same
+    /// `(at, seq)` and the wheel's floor must not exceed the heap's.
+    #[test]
+    fn parked_rto_slot_matches_heap() {
+        const PARK_TICK: u64 = 786_432;
+        let mut wheel = EventQueue::with_backend(QueueBackend::TimerWheel);
+        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        let mut next = xorshift(0x0dd_ba11_5eed);
+        const TIMER: EventKind = EventKind::RtoFire { conn: 0, sub: 0 };
+        const NEAR: EventKind = EventKind::ConnStart { conn: 0 };
+        for _ in 0..1_024 {
+            let at = SimTime(900_000_000 + next() % 100_000_000);
+            wheel.push(at, TIMER);
+            heap.push(at, TIMER);
+        }
+        for _ in 0..8 {
+            let at = SimTime(1_000 + next() % 119_000);
+            wheel.push(at, NEAR);
+            heap.push(at, NEAR);
+        }
+        let parked = |q: &EventQueue| match &q.backend {
+            BackendImpl::Wheel(w) => w.cursor_slot_occupied(3),
+            BackendImpl::Heap(_) => unreachable!("the wheel is probed"),
+        };
+        let mut parked_from = None;
+        let mut horizon = 0u64;
+        while horizon < 1_100_000_000 {
+            horizon += 1 + next() % 50_000;
+            loop {
+                let (w, h) = (wheel.next_floor(), heap.next_floor());
+                assert!(w <= h, "wheel floor {w:?} above the next event at {h:?}");
+                let a = wheel.pop_before(SimTime(horizon));
+                let b = heap.pop_before(SimTime(horizon));
+                assert_eq!(a.as_ref().map(|e| (e.at, e.seq)), b.as_ref().map(|e| (e.at, e.seq)));
+                let Some(e) = a else { break };
+                assert_eq!(h, Some(e.at));
+                if let EventKind::ConnStart { .. } = e.kind {
+                    let at = SimTime(e.at.as_nanos() + 1_000 + next() % 119_000);
+                    wheel.push(at, NEAR);
+                    heap.push(at, NEAR);
+                }
+                if parked_from.is_none() && parked(&wheel) {
+                    parked_from = Some(e.at);
+                }
+            }
+        }
+        // The geometry really was exercised: the cursor parked in the
+        // occupied slot within the level-1 slot that starts on its first
+        // tick, ~95 ms before any timer fired.
+        let parked_from = parked_from.expect("the cursor never parked in level-3 slot 3");
+        assert!((PARK_TICK..PARK_TICK + 64).contains(&(parked_from.as_nanos() >> 10)));
+        assert_eq!(wheel.len(), 8);
+        assert_eq!(heap.len(), 8);
     }
 
     /// Regression pinned from a proptest shrink: two horizon-bounded pops

@@ -76,7 +76,7 @@ mod trace;
 mod wheel;
 
 pub use cbr::{CbrId, CbrSpec};
-pub use event::{queue_churn, QueueBackend};
+pub use event::{queue_churn, queue_churn_timers, QueueBackend};
 pub use fault::{FaultAction, FaultPlan, GeParams};
 pub use link::{LinkId, LinkSpec, LinkStats};
 pub use packet::DEFAULT_PACKET_SIZE;

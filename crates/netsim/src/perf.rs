@@ -58,6 +58,15 @@ pub struct SimPerf {
     /// windows are skipped). Set only in [`crate::ShardedSimulator::perf`];
     /// always 0 on a single [`crate::Simulator`].
     pub epochs: u64,
+    /// Coarse timer-wheel slots cascaded down a level. Counted by the
+    /// wheel backend; always 0 on the heap. Summed over shards in
+    /// [`crate::ShardedSimulator::perf`].
+    pub queue_cascades: u64,
+    /// Events those cascades re-inserted: each into a finer level or the
+    /// drain bucket, except an entry a full revolution ahead of the
+    /// cursor's slot, which returns to its own level. Counted like
+    /// `queue_cascades`.
+    pub queue_cascaded_events: u64,
 }
 
 impl_det_digest!(SimPerf {
@@ -83,6 +92,11 @@ impl_det_digest!(SimPerf {
     // numbers of windows (the wheel's next-event floor is only a lower
     // bound; the heap's is exact), so it stays out of the digest.
     epochs,
+    // Cascade counts are a property of the queue backend, not of the
+    // simulated history: the heap produces the identical run with both at
+    // 0, so they stay out of the cross-backend digest.
+    queue_cascades,
+    queue_cascaded_events,
 });
 
 /// The workspace's **single audited wall-clock read**.
@@ -147,6 +161,8 @@ mod tests {
             quiesced_at: None,
             hot_allocs: 0,
             epochs: 0,
+            queue_cascades: 0,
+            queue_cascaded_events: 0,
         };
         assert!(p.is_consistent());
         assert!(p.events_per_wall_sec() > 0.0);

@@ -365,6 +365,8 @@ impl ShardedSimulator {
             merged.peak_pending += p.peak_pending;
             merged.faults_applied += p.faults_applied;
             merged.hot_allocs += p.hot_allocs;
+            merged.queue_cascades += p.queue_cascades;
+            merged.queue_cascaded_events += p.queue_cascaded_events;
         }
         merged
     }

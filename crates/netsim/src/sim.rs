@@ -613,6 +613,7 @@ impl Simulator {
 
     /// Snapshot of the event core's performance counters.
     pub fn perf(&self) -> SimPerf {
+        let (queue_cascades, queue_cascaded_events) = self.queue.cascades();
         SimPerf {
             events_scheduled: self.queue.scheduled(),
             events_fired: self.events_processed,
@@ -626,6 +627,8 @@ impl Simulator {
             quiesced_at: self.quiesced_at,
             hot_allocs: self.hot_allocs(),
             epochs: 0,
+            queue_cascades,
+            queue_cascaded_events,
         }
     }
 

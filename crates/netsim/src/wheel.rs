@@ -23,14 +23,33 @@
 //!   level-0 slot (which corresponds to exactly one tick) the slot is
 //!   drained into a scratch bucket and sorted **descending** by
 //!   `(at, seq)` so pops are `Vec::pop` from the back. Events pushed
-//!   into the current tick while it drains are inserted in order.
+//!   into the current tick while it drains are inserted in order;
+//! * each slot also records the minimum tick of its entries
+//!   (`slot_min`), so the next event is found without walking any list.
 //!
 //! Exactness argument: a level-0 slot within the active 64-tick window
 //! maps to a single tick value, so sorting one bucket recovers the exact
 //! global order — earlier ticks were already drained, later ticks sort
-//! after, and the wheel never advances its cursor past an occupied slot
-//! (higher-level slots whose range starts at or before the next level-0
-//! candidate are cascaded down first).
+//! after, and the cursor never moves past a tick that still holds an
+//! event (higher-level slots whose range starts at or before the next
+//! level-0 candidate are cascaded down first).
+//!
+//! The cursor can, however, come to rest *inside* an occupied coarse
+//! slot without cascading it. When a finer slot and a coarse slot start
+//! on the same tick, the tie goes to the finer level, and its cascade
+//! moves the cursor to that shared start — which is also inside the
+//! coarse slot, whose entries may all lie much later (FatTree runs park
+//! ~1,000 one-second initial RTO timers in one level-3 slot this way).
+//! That "cursor's own slot" is not cascaded until its earliest entry is
+//! due, so its range start is no longer a useful bound. Its candidate is
+//! its exact minimum tick instead, read from `slot_min`.
+//!
+//! `slot_min` invariant: for every occupied slot (occupancy bit set),
+//! `slot_min[level][slot]` is the minimum tick of the entries in that
+//! slot. Entries leave a slot only all at once (`take_slot`), so `insert`
+//! alone maintains it: it sets the minimum when the slot was empty and
+//! lowers it when the new tick is earlier. For an empty slot the value is
+//! stale and never read.
 
 use crate::event::{Event, EventKind};
 use crate::time::SimTime;
@@ -93,6 +112,9 @@ pub(crate) struct TimerWheel {
     slots: [[u32; SLOTS]; LEVELS],
     /// Per-level slot occupancy bitmaps.
     occupied: [u64; LEVELS],
+    /// Minimum entry tick of each occupied slot (stale while the slot's
+    /// occupancy bit is clear).
+    slot_min: [[u64; SLOTS]; LEVELS],
     /// Node slab; freed nodes are chained through `next`.
     nodes: Vec<Node>,
     /// Head of the slab free list.
@@ -107,6 +129,10 @@ pub(crate) struct TimerWheel {
     overflow: Vec<(SimTime, u64, EventKind)>,
     /// Total events pending.
     len: usize,
+    /// Coarse slots cascaded down so far.
+    cascades: u64,
+    /// Nodes those cascades re-inserted.
+    cascaded_events: u64,
 }
 
 fn tick_of(at: SimTime) -> u64 {
@@ -118,17 +144,27 @@ impl TimerWheel {
         TimerWheel {
             slots: [[NIL; SLOTS]; LEVELS],
             occupied: [0; LEVELS],
+            slot_min: [[0; SLOTS]; LEVELS],
             nodes: Vec::with_capacity(1024),
             free: NIL,
             origin: 0,
             cur: Vec::with_capacity(64),
             overflow: Vec::new(),
             len: 0,
+            cascades: 0,
+            cascaded_events: 0,
         }
     }
 
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// `(coarse slots cascaded, nodes those cascades re-inserted)` so far.
+    /// Each node lands at a lower level, except an entry a full revolution
+    /// ahead of the cursor's own slot, which returns to its level.
+    pub fn cascades(&self) -> (u64, u64) {
+        (self.cascades, self.cascaded_events)
     }
 
     pub fn push(&mut self, at: SimTime, seq: u64, kind: EventKind) {
@@ -186,7 +222,12 @@ impl TimerWheel {
             (self.nodes.len() - 1) as u32
         };
         self.slots[level][slot] = idx;
-        self.occupied[level] |= 1 << slot;
+        let bit = 1u64 << slot;
+        let min = &mut self.slot_min[level][slot];
+        if self.occupied[level] & bit == 0 || t < *min {
+            *min = t;
+        }
+        self.occupied[level] |= bit;
     }
 
     /// Unlink a slot's list, returning its head (slot marked empty).
@@ -214,7 +255,7 @@ impl TimerWheel {
     /// of its first occupied slot at or after the cursor. For the slot the
     /// cursor currently sits in the range start lies in the past and the
     /// slot may even hold events a full wheel revolution ahead, so that
-    /// one slot is resolved exactly by walking its (short) node list.
+    /// one slot contributes its exact minimum tick (`slot_min`) instead.
     fn level_candidate(&self, level: usize) -> Option<u64> {
         let occ = self.occupied[level];
         if occ == 0 {
@@ -226,16 +267,11 @@ impl TimerWheel {
         let rotated = occ.rotate_right(o_slot);
         let mut best = u64::MAX;
         if rotated & 1 == 1 {
-            // The cursor's own slot: resolve it exactly. Note its minimum
-            // can be *later* than the next occupied slot's range start (it
-            // may hold events a revolution ahead), so the other slots are
-            // still considered below.
-            let mut idx = self.slots[level][o_slot as usize];
-            while idx != NIL {
-                let n = &self.nodes[idx as usize];
-                best = best.min(tick_of(n.at));
-                idx = n.next;
-            }
+            // The cursor's own slot. Its minimum can be *later* than the
+            // next occupied slot's range start (it may hold events a
+            // revolution ahead), so the other slots are still considered
+            // below.
+            best = self.slot_min[level][o_slot as usize];
             debug_assert!(best >= self.origin);
         }
         let rest = rotated & !1;
@@ -244,6 +280,14 @@ impl TimerWheel {
             best = best.min((self.origin & !(width - 1)) + slot_delta * width);
         }
         Some(best)
+    }
+
+    /// Whether the cursor sits inside an occupied slot of `level` — the
+    /// parked state `slot_min` answers for.
+    #[cfg(test)]
+    pub(crate) fn cursor_slot_occupied(&self, level: usize) -> bool {
+        let slot = (self.origin >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1);
+        self.occupied[level] & (1 << slot) != 0
     }
 
     /// The per-level candidates `advance` chooses among, without moving
@@ -324,11 +368,13 @@ impl TimerWheel {
                     let slot = ((base >> (SLOT_BITS * level as u32))
                         & (SLOTS as u64 - 1)) as usize;
                     let mut node = self.take_slot(level, slot);
+                    self.cascades += 1;
                     while node != NIL {
                         let Node { at, seq, kind, next } = self.nodes[node as usize];
                         self.nodes[node as usize].next = self.free;
                         self.free = node;
                         self.insert(at, seq, kind);
+                        self.cascaded_events += 1;
                         node = next;
                     }
                     continue;

@@ -25,7 +25,9 @@
 
 use mptcp_bench::datacenter::dc_link;
 use mptcp_cc::AlgorithmKind;
-use mptcp_netsim::{ConnectionSpec, DetDigest, FaultPlan, ShardedSimulator, SimTime};
+use mptcp_netsim::{
+    ConnectionSpec, DetDigest, FaultPlan, QueueBackend, ShardedSimulator, SimTime,
+};
 use mptcp_topology::{FatTree, ShardedDualHomed, Torus};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -135,25 +137,7 @@ fn run_churn(seed: u64, arrival_seed: u64, flows: usize, jobs: usize) -> (Outcom
 /// almost all of the run, so most 10 µs lookahead windows fire nothing.
 /// `step` splits the run into `run_until` calls of that length.
 fn run_sparse(seed: u64, jobs: usize, step: Option<SimTime>) -> u64 {
-    let mut sim = ShardedSimulator::new(seed, 4);
-    sim.set_flow_lifecycle(true);
-    let ft = FatTree::build_sharded(&mut sim, 4, dc_link());
-    let hosts = ft.host_count();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5BA25E);
-    for _ in 0..12 {
-        let src = rng.gen_range(0..hosts);
-        let mut dst = rng.gen_range(0..hosts - 1);
-        if dst >= src {
-            dst += 1;
-        }
-        let pkts = rng.gen_range(2u64..40);
-        let start = SimTime::from_micros(rng.gen_range(0u64..4_000_000));
-        let mut spec = ConnectionSpec::sized(AlgorithmKind::Mptcp, pkts).start(start);
-        for p in ft.random_paths(src, dst, 2, &mut rng) {
-            spec = spec.path(p);
-        }
-        sim.add_connection(spec);
-    }
+    let mut sim = sparse_world(seed, QueueBackend::default());
     sim.set_jobs(jobs);
     let horizon = SimTime::from_secs(5);
     match step {
@@ -173,6 +157,30 @@ fn run_sparse(seed: u64, jobs: usize, step: Option<SimTime>) -> u64 {
     sim.det_digest()
 }
 
+/// The world [`run_sparse`] steps, built on `backend` but not yet run.
+fn sparse_world(seed: u64, backend: QueueBackend) -> ShardedSimulator {
+    let mut sim = ShardedSimulator::with_backend(seed, 4, backend);
+    sim.set_flow_lifecycle(true);
+    let ft = FatTree::build_sharded(&mut sim, 4, dc_link());
+    let hosts = ft.host_count();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5BA25E);
+    for _ in 0..12 {
+        let src = rng.gen_range(0..hosts);
+        let mut dst = rng.gen_range(0..hosts - 1);
+        if dst >= src {
+            dst += 1;
+        }
+        let pkts = rng.gen_range(2u64..40);
+        let start = SimTime::from_micros(rng.gen_range(0u64..4_000_000));
+        let mut spec = ConnectionSpec::sized(AlgorithmKind::Mptcp, pkts).start(start);
+        for p in ft.random_paths(src, dst, 2, &mut rng) {
+            spec = spec.path(p);
+        }
+        sim.add_connection(spec);
+    }
+    sim
+}
+
 /// Golden digests of [`run_sparse`], recorded before the epoch loop
 /// learned to skip empty windows. Unlike the `jobs`-equality properties,
 /// these constants catch a skip bug that changes the history identically
@@ -188,6 +196,36 @@ fn sparse_fattree_digests_are_pinned() {
             }
         }
     }
+}
+
+/// The timer wheel's cascade counters are summed over shards, and each
+/// shard's queue sees the same pushes and pops at any worker count, so
+/// the sums must not depend on `jobs`. Every cascade re-inserts an event
+/// at a lower level (or back at its own, for an entry a revolution ahead,
+/// which these seconds-long runs never produce), so an event is cascaded
+/// at most once per level below the one it was pushed into. The heap has
+/// no levels and counts nothing.
+#[test]
+fn queue_cascade_counters_are_independent_of_worker_count() {
+    const LEVELS: u64 = 6;
+    let counters = |backend: QueueBackend, jobs: usize| {
+        let mut sim = sparse_world(3, backend);
+        sim.set_jobs(jobs);
+        sim.run_until(SimTime::from_secs(5));
+        let p = sim.perf();
+        (p.queue_cascades, p.queue_cascaded_events, p.events_scheduled)
+    };
+    let (cascades, cascaded, scheduled) = counters(QueueBackend::TimerWheel, 1);
+    assert!(cascades > 0, "a 5 s run with second-scale arrivals cascades coarse slots");
+    assert!(
+        cascaded <= (LEVELS - 1) * scheduled,
+        "{cascaded} cascaded events for {scheduled} scheduled"
+    );
+    for jobs in [2, 8] {
+        let got = counters(QueueBackend::TimerWheel, jobs);
+        assert_eq!(got, (cascades, cascaded, scheduled), "jobs {jobs}");
+    }
+    assert_eq!(counters(QueueBackend::BinaryHeap, 2), (0, 0, scheduled));
 }
 
 proptest! {
